@@ -100,7 +100,8 @@ void IncrementalGeolocator::restore_checkpoint(std::string_view payload) {
     throw util::CheckpointError(util::CheckpointErrorCode::kBadVersion,
                                 "geolocator payload version " + std::to_string(version));
   }
-  const std::uint64_t user_count = reader.u64();
+  // A user is at least key + posts + cell_count.
+  const std::uint64_t user_count = reader.count(8 + 8 + 8);
   states_.reserve(static_cast<std::size_t>(user_count));
   for (std::uint64_t i = 0; i < user_count; ++i) {
     const std::uint64_t key = reader.u64();
@@ -111,7 +112,7 @@ void IncrementalGeolocator::restore_checkpoint(std::string_view payload) {
     states_.emplace_back();
     UserState& state = states_.back();
     state.posts = static_cast<std::size_t>(reader.u64());
-    const std::uint64_t cell_count = reader.u64();
+    const std::uint64_t cell_count = reader.count(8);  // one i64 per cell
     if (cell_count > state.posts) {
       throw util::CheckpointError(util::CheckpointErrorCode::kMalformed,
                                   "more distinct cells than posts in geolocator payload");

@@ -271,7 +271,9 @@ void decode_sweep_state(util::ByteReader& reader, SweepState& state) {
   state.dump.polls_failed = static_cast<std::size_t>(reader.u64());
   state.dump.polls_partial = static_cast<std::size_t>(reader.u64());
   state.dump.threads_quarantined = static_cast<std::size_t>(reader.u64());
-  const std::uint64_t record_count = reader.u64();
+  // A record is at least post_id + thread_id + author length + flag +
+  // observed_utc.
+  const std::uint64_t record_count = reader.count(8 + 8 + 8 + 1 + 8);
   state.dump.records.reserve(static_cast<std::size_t>(record_count));
   for (std::uint64_t i = 0; i < record_count; ++i) {
     ScrapeRecord record;

@@ -239,6 +239,16 @@ std::string ByteReader::str() {
   return value;
 }
 
+std::uint64_t ByteReader::count(std::size_t min_bytes_each) {
+  const std::uint64_t value = u64();
+  if (value > remaining() / min_bytes_each) {
+    throw CheckpointError(CheckpointErrorCode::kTruncated,
+                          "count " + std::to_string(value) + " needs more than the " +
+                              std::to_string(remaining()) + " byte(s) left");
+  }
+  return value;
+}
+
 void write_checkpoint_file(const std::string& path, std::string_view payload,
                            std::uint32_t version) {
   std::string blob;
@@ -330,6 +340,14 @@ std::vector<ManifestEntryStatus> read_manifest_checkpoint_file(const std::string
                               std::to_string(expected_version));
   }
   const std::uint32_t entry_count = load_u32(blob.data() + 8);
+  // Each directory row takes at least u64 key_len + u64 payload_size +
+  // u32 crc; a count the remaining bytes cannot hold is refused before it
+  // sizes an allocation.
+  constexpr std::size_t kMinDirectoryRow = 8 + 8 + 4;
+  if (entry_count > (blob.size() - kManifestHeaderSize) / kMinDirectoryRow) {
+    throw CheckpointError(CheckpointErrorCode::kTruncated,
+                          path + " manifest directory ends mid-entry");
+  }
 
   // Parse the directory with bounds checks; any shortfall here is a
   // whole-file error (the directory is the index to everything else).

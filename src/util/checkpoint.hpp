@@ -98,6 +98,11 @@ class ByteReader {
   [[nodiscard]] std::int64_t i64();
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
+  /// Reads a u64 element count and refuses it with
+  /// CheckpointError{kTruncated} unless `count * min_bytes_each` bytes
+  /// remain, so a corrupt count can never size an allocation.  Requires
+  /// min_bytes_each > 0.
+  [[nodiscard]] std::uint64_t count(std::size_t min_bytes_each);
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }

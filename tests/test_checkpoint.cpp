@@ -30,6 +30,13 @@ constexpr std::uint32_t kVersion = 7;
   return (fs::path(::testing::TempDir()) / name).string();
 }
 
+/// A file name unique to the running test: every case in a fixture runs in
+/// its own process under `ctest -jN`, so a shared name would race.
+[[nodiscard]] std::string per_test_path(const std::string& prefix) {
+  return temp_path(prefix + ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                   ".bin");
+}
+
 [[nodiscard]] std::string read_raw(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
@@ -59,7 +66,7 @@ class CheckpointFile : public ::testing::Test {
     fs::remove(path_ + ".tmp", ignored);
   }
 
-  std::string path_ = temp_path("ckpt_test.bin");
+  std::string path_ = per_test_path("ckpt_test_");
 };
 
 TEST(Crc32, MatchesKnownVector) {
@@ -112,6 +119,31 @@ TEST(ByteCodec, CorruptStringLengthCannotWalkOffBuffer) {
   } catch (const CheckpointError& error) {
     EXPECT_EQ(error.code(), CheckpointErrorCode::kTruncated);
   }
+}
+
+TEST(ByteCodec, CountIsBoundedByRemainingBytes) {
+  ByteWriter writer;
+  writer.u64(2);
+  writer.u64(0);  // 8 bytes follow the count
+  const std::string data = writer.take();
+
+  ByteReader fits{data};
+  EXPECT_EQ(fits.count(4), 2u);  // 2 x 4 bytes fit in 8
+
+  ByteReader too_big{data};
+  try {
+    (void)too_big.count(5);  // 2 x 5 bytes do not
+    FAIL() << "count larger than the remaining bytes accepted";
+  } catch (const CheckpointError& error) {
+    EXPECT_EQ(error.code(), CheckpointErrorCode::kTruncated);
+  }
+
+  ByteWriter huge_writer;
+  huge_writer.u64(std::uint64_t{1} << 63);  // count * 8 overflows 64 bits
+  huge_writer.u64(0);
+  const std::string huge = huge_writer.take();
+  ByteReader overflow{huge};
+  EXPECT_THROW((void)overflow.count(8), CheckpointError);
 }
 
 TEST_F(CheckpointFile, WriteReadRoundTrip) {
@@ -271,7 +303,7 @@ class ManifestFile : public ::testing::Test {
     return offset + 4;  // directory CRC
   }
 
-  std::string path_ = temp_path("manifest_test.bin");
+  std::string path_ = per_test_path("manifest_test_");
 };
 
 TEST_F(ManifestFile, RoundTripPreservesOrderAndPayloads) {

@@ -600,5 +600,30 @@ TEST(FleetCheckpoint, SnapshotTracksStatusesAcrossResume) {
   remove_checkpoint(path);
 }
 
+TEST(FleetCheckpoint, ImpossibleRecordCountIsRefusedBeforeAllocating) {
+  SweepState state;
+  state.dump.onion = "abcdefghijklmnop.onion";
+  state.dump.forum_name = "f0";
+  state.end_time = 1;
+  state.next_poll = 1;
+  util::ByteWriter writer;
+  encode_sweep_state(writer, state);
+  std::string payload = writer.take();
+  // With no records the payload ends in the u64 record_count; claim 2^40
+  // records (a flipped high bit) followed by one record's worth of bytes.
+  ASSERT_EQ(payload.substr(payload.size() - 8), std::string(8, '\0'));
+  payload[payload.size() - 3] = '\x01';
+  payload += std::string(33, '\0');
+
+  util::ByteReader reader{payload};
+  SweepState decoded;
+  try {
+    decode_sweep_state(reader, decoded);
+    FAIL() << "2^40 records accepted from a " << payload.size() << "-byte payload";
+  } catch (const util::CheckpointError& error) {
+    EXPECT_EQ(error.code(), util::CheckpointErrorCode::kTruncated);
+  }
+}
+
 }  // namespace
 }  // namespace tzgeo::forum

@@ -231,5 +231,43 @@ TEST(IncrementalCheckpoint, RejectsCorruptPayloads) {
   }
 }
 
+TEST(IncrementalCheckpoint, ImpossibleCountsAreRefusedBeforeAllocating) {
+  // A flipped high bit in a count must be a typed refusal, never an
+  // attempt to reserve 2^40 elements (bad_alloc / length_error).
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  const auto code_of_restore = [](const std::string& payload) {
+    IncrementalGeolocator geo{TimeZoneProfiles{canonical_shape()}};
+    try {
+      geo.restore_checkpoint(payload);
+    } catch (const util::CheckpointError& error) {
+      return error.code();
+    }
+    ADD_FAILURE() << "impossible payload accepted";
+    return util::CheckpointErrorCode::kIo;
+  };
+  {  // user_count
+    util::ByteWriter writer;
+    writer.u32(IncrementalGeolocator::kCheckpointVersion);
+    writer.u64(kHuge);
+    writer.u64(7);  // key
+    writer.u64(1);  // posts
+    writer.u64(0);  // cell_count
+    writer.u64(1);  // total posts
+    EXPECT_EQ(code_of_restore(writer.take()), util::CheckpointErrorCode::kTruncated);
+  }
+  {  // cell_count, with a posts field large enough to pass cell_count <= posts
+    util::ByteWriter writer;
+    writer.u32(IncrementalGeolocator::kCheckpointVersion);
+    writer.u64(1);      // user_count
+    writer.u64(7);      // key
+    writer.u64(kHuge);  // posts
+    writer.u64(kHuge);  // cell_count
+    writer.i64(1);
+    writer.i64(2);
+    writer.u64(kHuge);  // total posts
+    EXPECT_EQ(code_of_restore(writer.take()), util::CheckpointErrorCode::kTruncated);
+  }
+}
+
 }  // namespace
 }  // namespace tzgeo::core
