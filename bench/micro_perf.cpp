@@ -6,7 +6,6 @@
 
 #include "bench_common.hpp"
 #include "gbench_main.hpp"
-#include "core/parallel.hpp"
 #include "core/placement.hpp"
 #include "core/placement_engine.hpp"
 #include "core/simd/simd.hpp"
@@ -104,7 +103,8 @@ void BM_PlaceCrowd(benchmark::State& state) {
                      reference.zones.zone_profile(static_cast<std::int32_t>(i % 24) - 11)});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::place_crowd(users, reference.zones));
+    benchmark::DoNotOptimize(
+        core::place_crowd(users, reference.zones, core::PlacementMetric::kCircularEmd, 1));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -118,7 +118,7 @@ void BM_PlaceCrowdParallel(benchmark::State& state) {
                      reference.zones.zone_profile(static_cast<std::int32_t>(i % 24) - 11)});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::place_crowd_parallel(users, reference.zones));
+    benchmark::DoNotOptimize(core::place_crowd(users, reference.zones));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -204,15 +204,15 @@ void BM_SimdPlaceSoaCircular(benchmark::State& state) {
 BENCHMARK(BM_SimdPlaceSoaCircular)->Arg(8192);
 
 void BM_PlaceCrowd1M(benchmark::State& state) {
-  // End-to-end sharded placement at crawl scale (2^20 users), measured
-  // with the SoA cache warm — the steady state a polish-loop iteration
-  // sees.  Routed through place_crowd_parallel so the throughput
-  // aggregates across however many cores the host exposes (on a 1-core
-  // host it degenerates to the serial path, bit-identically).  One untimed
-  // call pays the transpose; BM_SimdPlaceSoaCircular isolates the kernels
-  // and tzgeo_placement_transpose_us tracks the cold cost.  Arg 0 selects
-  // the metric: 0 = circular EMD (the paper's headline metric, best-first
-  // + margin prune), 1 = linear EMD (dense x4-interleaved sweep).
+  // End-to-end sharded placement at crawl scale (2^20 users): every call
+  // transposes the crowd and sweeps it, as each polish round does.
+  // Routed through the pooled place_crowd so the throughput aggregates
+  // across however many cores the host exposes (on a 1-core host it
+  // degenerates to one batch, bit-identically).  BM_SimdPlaceSoaCircular
+  // isolates the kernels and tzgeo_placement_transpose_us the transpose.
+  // Arg 0 selects the metric: 0 = circular EMD (the paper's headline
+  // metric, best-first + margin prune), 1 = linear EMD (dense
+  // x4-interleaved sweep).
   const auto metric = state.range(0) == 0 ? core::PlacementMetric::kCircularEmd
                                           : core::PlacementMetric::kEmd;
   const bench::ReferenceProfiles reference = bench::build_reference_profiles(0.02, 1);
@@ -227,9 +227,8 @@ void BM_PlaceCrowd1M(benchmark::State& state) {
     users.push_back({static_cast<std::uint64_t>(i), 50,
                      core::HourlyProfile::from_counts(noisy)});
   }
-  benchmark::DoNotOptimize(core::place_crowd_parallel(users, reference.zones, metric));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::place_crowd_parallel(users, reference.zones, metric));
+    benchmark::DoNotOptimize(core::place_crowd(users, reference.zones, metric));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kUsers));
 }

@@ -24,7 +24,7 @@
 
 #include "bench_common.hpp"
 #include "core/ingest.hpp"
-#include "core/parallel.hpp"
+#include "core/placement.hpp"
 #include "gbench_main.hpp"
 #include "obs/health.hpp"
 #include "obs/log.hpp"
@@ -177,7 +177,7 @@ void BM_PlaceCrowdInstrumented(benchmark::State& state) {
                      reference.zones.zone_profile(static_cast<std::int32_t>(i % 24) - 11)});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::place_crowd_parallel(users, reference.zones));
+    benchmark::DoNotOptimize(core::place_crowd(users, reference.zones));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -1,13 +1,11 @@
 #include "core/dossier.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <cstdint>
 
-#include "core/placement_metrics.hpp"
+#include "core/crowd_sweep.hpp"
 #include "core/report.hpp"
-#include "core/soa_crowd.hpp"
 #include "core/thread_pool.hpp"
-#include "obs/stopwatch.hpp"
 #include "util/strings.hpp"
 
 namespace tzgeo::core {
@@ -102,7 +100,7 @@ std::vector<UserDossier> build_top_dossiers(const ActivityTrace& trace,
   // Three passes instead of one per-user loop, so the placement work runs
   // through the SoA group kernels (and its crowd CDFs are computed once):
   //   1. profiles (parallel over users);
-  //   2. placement + uniform distances (SoA batch over the whole crowd);
+  //   2. placement + flat flags (one SoA sweep over the whole crowd);
   //   3. event-derived verdicts, which need each user's placed zone
   //      (parallel over users).
   // Every per-dossier value is computed by the same kernels as before, so
@@ -120,27 +118,12 @@ std::vector<UserDossier> build_top_dossiers(const ActivityTrace& trace,
     }
   });
 
-  if (!profiled.empty()) {
-    SoaCrowdCache::Prepare prepare;
-    const std::shared_ptr<const SoaCrowd> crowd =
-        SoaCrowdCache::global().get(profiled, engine.soa_planes(), &prepare);
-    detail::record_soa_prepare(prepare);
-    std::vector<UserPlacement> placements(profiled.size());
-    std::vector<double> to_uniform(profiled.size());
-    ThreadPool::global().for_chunks(crowd->groups(), 0,
-                                    [&](std::size_t begin, std::size_t end) {
-      const obs::Stopwatch watch;
-      PlacementEngine::SoaStats counters;
-      engine.place_soa(*crowd, begin, end, placements.data(), counters);
-      engine.uniform_distance_soa(*crowd, begin, end, to_uniform.data());
-      const std::size_t last_slot = std::min(end * simd::kLanes, crowd->size());
-      detail::record_soa_batch(watch.elapsed_us(), last_slot - begin * simd::kLanes,
-                               counters);
-    });
-    for (std::size_t i = 0; i < dossiers.size(); ++i) {
-      dossiers[i].placement = placements[i];
-      dossiers[i].flat = to_uniform[i] < placements[i].distance;
-    }
+  std::vector<UserPlacement> placements(profiled.size());
+  std::vector<std::uint8_t> flat(profiled.size());
+  detail::sweep_crowd(profiled, engine, 0, placements.data(), nullptr, flat.data());
+  for (std::size_t i = 0; i < dossiers.size(); ++i) {
+    dossiers[i].placement = placements[i];
+    dossiers[i].flat = flat[i] != 0;
   }
 
   ThreadPool::global().for_chunks(ranked.size(), 0, [&](std::size_t begin, std::size_t end) {

@@ -1,56 +1,48 @@
 #include "core/flat_filter.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <utility>
 
-#include "core/parallel.hpp"
+#include "core/crowd_sweep.hpp"
 #include "core/placement_engine.hpp"
-#include "core/placement_metrics.hpp"
-#include "core/soa_crowd.hpp"
-#include "core/thread_pool.hpp"
-#include "obs/stopwatch.hpp"
 #include "obs/trace.hpp"
 
 namespace tzgeo::core {
 
 namespace {
 
-constexpr std::size_t kParallelCutoff = 256;  ///< below this, flag serially
+/// One flat test of every user against `zones`.  The same fused sweep
+/// also places every user, so a polish round needs no second pass to
+/// align its survivors.
+struct FlatSweep {
+  std::vector<UserPlacement> placements;
+  std::vector<std::uint8_t> flat;
+};
+
+[[nodiscard]] FlatSweep sweep_flat(const std::vector<UserProfileEntry>& users,
+                                   const TimeZoneProfiles& zones, PlacementMetric metric) {
+  FlatSweep sweep{std::vector<UserPlacement>(users.size()),
+                  std::vector<std::uint8_t>(users.size(), 0)};
+  detail::sweep_crowd(users, PlacementEngine{zones, metric}, 0, sweep.placements.data(),
+                      nullptr, sweep.flat.data());
+  return sweep;
+}
+
+/// Splits `users` by their flags, preserving input order in both halves.
+[[nodiscard]] FlatFilterResult split_by_flags(const std::vector<UserProfileEntry>& users,
+                                              const std::vector<std::uint8_t>& flat) {
+  FlatFilterResult result;
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    (flat[i] ? result.removed : result.kept).push_back(users[i]);
+  }
+  return result;
+}
 
 }  // namespace
 
 FlatFilterResult filter_flat_profiles(const std::vector<UserProfileEntry>& users,
                                       const TimeZoneProfiles& zones, PlacementMetric metric) {
-  const PlacementEngine engine{zones, metric};
-  FlatFilterResult result;
-  if (users.empty()) return result;
-
-  // Flag through the SoA group kernels (both distances of the comparison
-  // come from the same kernels as placement, so flags match the per-user
-  // path bit-for-bit), then split serially so the kept/removed vectors
-  // preserve input order exactly as before.  The prepared crowd is shared
-  // with the placement pass of the same polish round via the cache.
-  SoaCrowdCache::Prepare prepare;
-  const std::shared_ptr<const SoaCrowd> crowd =
-      SoaCrowdCache::global().get(users, engine.soa_planes(), &prepare);
-  detail::record_soa_prepare(prepare);
-
-  std::vector<std::uint8_t> flat(users.size(), 0);
-  const std::size_t max_chunks = users.size() < kParallelCutoff ? 1 : 0;
-  ThreadPool::global().for_chunks(crowd->groups(), max_chunks,
-                                  [&](std::size_t begin, std::size_t end) {
-    const obs::Stopwatch watch;
-    PlacementEngine::SoaStats counters;
-    engine.flat_flags_soa(*crowd, begin, end, flat.data(), counters);
-    const std::size_t last_slot = std::min(end * simd::kLanes, crowd->size());
-    detail::record_soa_batch(watch.elapsed_us(), last_slot - begin * simd::kLanes, counters);
-  });
-
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    (flat[i] ? result.removed : result.kept).push_back(users[i]);
-  }
-  return result;
+  return split_by_flags(users, sweep_flat(users, zones, metric).flat);
 }
 
 PolishResult polish_population(const std::vector<UserProfileEntry>& users,
@@ -60,24 +52,26 @@ PolishResult polish_population(const std::vector<UserProfileEntry>& users,
   PolishResult result{FlatFilterResult{users, {}}, initial_zones, 0};
 
   for (int round = 0; round < max_rounds; ++round) {
-    FlatFilterResult split = filter_flat_profiles(result.split.kept, result.zones, metric);
-    // Carry forward previously removed users.
+    const std::vector<UserProfileEntry> crowd = std::move(result.split.kept);
+    const FlatSweep sweep = sweep_flat(crowd, result.zones, metric);
+    FlatFilterResult split = split_by_flags(crowd, sweep.flat);
+    // Latest round's removals first, then the earlier rounds'.
     split.removed.insert(split.removed.end(), result.split.removed.begin(),
                          result.split.removed.end());
-    const bool fixpoint = split.kept.size() == result.split.kept.size();
+    const bool fixpoint = split.kept.size() == crowd.size();
     result.split = std::move(split);
     result.rounds = round + 1;
     if (fixpoint || result.split.kept.empty()) break;
 
-    // Rebuild the generic profile from the survivors: place each survivor,
-    // undo its zone shift, and aggregate the aligned profiles.  The pooled
-    // placement is bit-identical to the serial path.
-    const PlacementResult placement = place_crowd_parallel(result.split.kept, result.zones, metric);
+    // Rebuild the generic profile from the survivors: undo each survivor's
+    // zone shift, as placed by this round's sweep against the same zones,
+    // and aggregate the aligned profiles.
     std::vector<HourlyProfile> aligned;
     aligned.reserve(result.split.kept.size());
-    for (std::size_t i = 0; i < result.split.kept.size(); ++i) {
-      aligned.push_back(
-          result.split.kept[i].profile.shifted(placement.users[i].zone_hours));
+    for (std::size_t i = 0; i < crowd.size(); ++i) {
+      if (sweep.flat[i] == 0) {
+        aligned.push_back(crowd[i].profile.shifted(sweep.placements[i].zone_hours));
+      }
     }
     result.zones = TimeZoneProfiles{aggregate_profiles(aligned)};
   }

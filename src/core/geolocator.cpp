@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/parallel.hpp"
 #include "obs/trace.hpp"
 #include "stats/histogram.hpp"
 
@@ -71,9 +70,7 @@ GeolocationResult geolocate_crowd(const std::vector<UserProfileEntry>& users,
     throw std::invalid_argument("geolocate_crowd: no users survive filtering");
   }
 
-  // Pooled placement is bit-identical to the serial path and falls back
-  // to it for small crowds.
-  result.placement = place_crowd_parallel(*crowd, zones, options.metric);
+  result.placement = place_crowd(*crowd, zones, options.metric);
   result.confidence = placement_confidence(result.placement);
 
   MixtureFitOutcome mixture = fit_mixture_to_counts(result.placement.counts, options);

@@ -1,13 +1,17 @@
 #include "core/placement.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <mutex>
+#include <thread>
 
-#include "core/placement_engine.hpp"
-#include "core/placement_metrics.hpp"
+#include "core/crowd_sweep.hpp"
 #include "core/soa_crowd.hpp"
+#include "core/thread_pool.hpp"
 #include "obs/pipeline_metrics.hpp"
 #include "obs/stopwatch.hpp"
+#include "obs/trace.hpp"
 #include "stats/emd.hpp"
 #include "stats/histogram.hpp"
 
@@ -31,36 +35,100 @@ double placement_distance(const HourlyProfile& profile, const HourlyProfile& zon
   return std::numeric_limits<double>::infinity();  // unreachable
 }
 
-PlacementResult place_crowd(const std::vector<UserProfileEntry>& users,
-                            const TimeZoneProfiles& zones, PlacementMetric metric) {
-  const PlacementEngine engine{zones, metric};
-  PlacementResult result;
-  result.counts.assign(kZoneCount, 0.0);
-  if (users.empty()) {
-    result.distribution = stats::normalize(result.counts);
-    return result;
+namespace detail {
+
+namespace {
+
+constexpr std::size_t kSerialCutoff = 256;  ///< below this, sharding doesn't pay
+
+static_assert(std::tuple_size_v<decltype(obs::PipelineMetrics::placement_path_batches)> ==
+                  simd::kPathCount,
+              "per-path batch counters must cover every dispatch path");
+
+/// Flushes the counters of one shard.  Pruning counters are reported in
+/// lane units (groups x kLanes) so they stay comparable with the per-user
+/// path's zones_pruned/evaluated.
+void record_soa_batch(std::uint64_t elapsed_us, std::size_t users,
+                      const PlacementEngine::SoaStats& counters) {
+  const obs::PipelineMetrics& metrics = obs::PipelineMetrics::get();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.add(metrics.placement_batches);
+  registry.add(metrics.placement_shards);
+  registry.add(metrics.placement_users, users);
+  registry.observe(metrics.placement_batch_us, elapsed_us);
+  registry.add(metrics.placement_simd_lanes, counters.groups * simd::kLanes);
+  registry.add(metrics.placement_zones_pruned_vectorized,
+               counters.zone_groups_pruned * simd::kLanes);
+  registry.add(metrics.placement_zones_evaluated_vectorized,
+               counters.zone_groups_evaluated * simd::kLanes);
+  const auto path = static_cast<std::size_t>(simd::active_path());
+  if (path < metrics.placement_path_batches.size()) {
+    registry.add(metrics.placement_path_batches[path]);
   }
+}
 
-  // Serial crowds route through the same SoA group kernels as the sharded
-  // path (one batch covering every group): per-user results are pure
-  // functions of profile content, so this is bit-identical to the former
-  // engine.place() loop — and the sharded path is trivially identical to
-  // this one because shards only split the group range.
-  SoaCrowdCache::Prepare prepare;
-  const std::shared_ptr<const SoaCrowd> crowd =
-      SoaCrowdCache::global().get(users, engine.soa_planes(), &prepare);
-  detail::record_soa_prepare(prepare);
+}  // namespace
 
-  const obs::Stopwatch watch;
+void sweep_crowd(const std::vector<UserProfileEntry>& users, const PlacementEngine& engine,
+                 std::size_t threads, UserPlacement* placements, double* zone_counts,
+                 std::uint8_t* flat) {
+  const obs::ScopedSpan placement_span("placement");
+  const obs::PipelineMetrics& metrics = obs::PipelineMetrics::get();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+
+  const obs::Stopwatch transpose_watch;
+  SoaCrowd crowd;
+  crowd.build(users, engine.soa_planes());
+  registry.observe(metrics.placement_transpose_us, transpose_watch.elapsed_us());
+
+  ThreadPool& pool = ThreadPool::global();
+  if (threads == 0) {
+    // The caller participates alongside the pool workers, but never shard
+    // wider than the machine: on a single-core host pool.size() + 1 == 2
+    // would split the crowd into two shards that time-share one core.
+    const std::size_t hardware = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+    threads = std::min(pool.size() + 1, hardware);
+  }
+  if (users.size() < kSerialCutoff) threads = 1;
+
+  if (zone_counts != nullptr) std::fill(zone_counts, zone_counts + kZoneCount, 0.0);
+  std::mutex counts_mutex;
+  pool.for_chunks(crowd.groups(), threads, [&](std::size_t begin, std::size_t end) {
+    // One chunk is one shard: accumulate locally, flush once, so the hot
+    // loop pays zero atomic traffic per user.
+    const obs::ScopedSpan batch_span("placement.batch");
+    const obs::Stopwatch watch;
+    PlacementEngine::SoaStats counters;
+    std::array<double, kZoneCount> shard_counts{};
+    engine.place_soa(crowd, begin, end, placements, counters,
+                     zone_counts != nullptr ? shard_counts.data() : nullptr, flat);
+    const std::size_t last_slot = std::min(end * simd::kLanes, crowd.size());
+    record_soa_batch(watch.elapsed_us(), last_slot - begin * simd::kLanes, counters);
+    if (zone_counts == nullptr) return;
+    // Shard counts are small integers in doubles: their sum is exact in
+    // any merge order, so a mutex (not a fixed order) keeps the totals
+    // identical to one serial pass.
+    const std::lock_guard<std::mutex> lock(counts_mutex);
+    for (std::size_t bin = 0; bin < kZoneCount; ++bin) zone_counts[bin] += shard_counts[bin];
+  });
+
+  if (zone_counts == nullptr) return;
+  for (std::size_t bin = 0; bin < kZoneCount; ++bin) {
+    registry.add(metrics.placement_zone[bin], static_cast<std::uint64_t>(zone_counts[bin]));
+  }
+}
+
+}  // namespace detail
+
+PlacementResult place_crowd(const std::vector<UserProfileEntry>& users,
+                            const TimeZoneProfiles& zones, PlacementMetric metric,
+                            std::size_t threads) {
+  PlacementResult result;
   result.users.resize(users.size());
-  PlacementEngine::SoaStats counters;
-  // Zone counts accumulate inside the scatter loop (the group result is
-  // still cache-hot there), replacing a second full pass over the 1M-user
-  // result array.
-  engine.place_soa(*crowd, 0, crowd->groups(), result.users.data(), counters,
-                   result.counts.data());
+  result.counts.assign(kZoneCount, 0.0);
+  detail::sweep_crowd(users, PlacementEngine{zones, metric}, threads, result.users.data(),
+                      result.counts.data());
   result.distribution = stats::normalize(result.counts);
-  detail::record_soa_batch(watch.elapsed_us(), users.size(), counters);
   return result;
 }
 

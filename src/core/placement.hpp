@@ -7,6 +7,7 @@
 // Mover's Distance as the metric.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -51,9 +52,15 @@ struct PlacementResult {
 };
 
 /// Places every profiled user on its nearest time zone.
+///
+/// Placement is embarrassingly parallel, so the crowd is sharded across
+/// the process-wide thread pool: `threads` caps the shard count (0 picks
+/// one per core, 1 runs on the calling thread).  Results are bit-identical
+/// at every thread count.
 [[nodiscard]] PlacementResult place_crowd(const std::vector<UserProfileEntry>& users,
                                           const TimeZoneProfiles& zones,
-                                          PlacementMetric metric = PlacementMetric::kCircularEmd);
+                                          PlacementMetric metric = PlacementMetric::kCircularEmd,
+                                          std::size_t threads = 0);
 
 /// Distance between a profile and one zone profile under `metric`
 /// (exposed for the flat filter and tests).

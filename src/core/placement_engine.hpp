@@ -99,22 +99,15 @@ class PlacementEngine {
   /// cache-hot, saving the caller a full re-read of `out` at crawl scale.
   /// Counts are small integers held in doubles, so accumulation (and any
   /// per-shard merge) is exact in every order.
+  ///
+  /// When `flat` is non-null it must span crowd.size() entries and
+  /// receives the Section IV-C flat flag of each slot at the same index
+  /// as `out`: distance_to_uniform() < the placed distance.  Both sides
+  /// come from the group kernels, so flags match the per-user comparison
+  /// bit-for-bit.
   void place_soa(const SoaCrowd& crowd, std::size_t group_begin, std::size_t group_end,
-                 UserPlacement* out, SoaStats& counters,
-                 double* zone_counts = nullptr) const noexcept;
-
-  /// distance_to_uniform() for groups of a prepared crowd, scattered to
-  /// out[crowd.index_of_slot(slot)].  No allocation.
-  void uniform_distance_soa(const SoaCrowd& crowd, std::size_t group_begin,
-                            std::size_t group_end, double* out) const noexcept;
-
-  /// The Section IV-C flat flags (distance_to_uniform < nearest_distance)
-  /// for groups of a prepared crowd, scattered to
-  /// flags[crowd.index_of_slot(slot)].  Both distances come from the same
-  /// group kernels as place_soa, so flags match the per-user comparisons
-  /// bit-for-bit.  No allocation.
-  void flat_flags_soa(const SoaCrowd& crowd, std::size_t group_begin, std::size_t group_end,
-                      std::uint8_t* flags, SoaStats& counters) const noexcept;
+                 UserPlacement* out, SoaStats& counters, double* zone_counts = nullptr,
+                 std::uint8_t* flat = nullptr) const noexcept;
 
  private:
   /// Shared implementation of both place() overloads; the counter writes

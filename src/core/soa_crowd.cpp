@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <new>
 
-#include "obs/stopwatch.hpp"
 #include "stats/emd.hpp"
 
 namespace tzgeo::core {
@@ -81,93 +80,6 @@ void SoaCrowd::build(const std::vector<UserProfileEntry>& users, Planes kind) {
       planes_[b * stride_ + s] = planes_[b * stride_ + (n - 1)];
     }
   }
-}
-
-SoaCrowdCache& SoaCrowdCache::global() {
-  static SoaCrowdCache cache;
-  return cache;
-}
-
-bool SoaCrowdCache::matches(const Entry& entry, const std::vector<UserProfileEntry>& users,
-                            SoaCrowd::Planes kind, std::uint64_t generation) noexcept {
-  if (entry.crowd == nullptr || entry.generation != generation) return false;
-  if (entry.data != static_cast<const void*>(users.data()) || entry.size != users.size() ||
-      entry.kind != kind) {
-    return false;
-  }
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    if (entry.user_ids[i] != users[i].user || entry.user_posts[i] != users[i].posts ||
-        entry.profile_data[i] != users[i].profile.values().data()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::shared_ptr<const SoaCrowd> SoaCrowdCache::get(const std::vector<UserProfileEntry>& users,
-                                                   SoaCrowd::Planes kind, Prepare* prepare) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (Entry& entry : entries_) {
-      if (matches(entry, users, kind, generation_)) {
-        entry.last_used = ++tick_;
-        ++hits_;
-        if (prepare != nullptr) *prepare = Prepare{true, 0};
-        return entry.crowd;
-      }
-    }
-    ++misses_;
-  }
-
-  // Build outside the lock: transposes are the expensive part and two
-  // threads preparing different crowds must not serialize each other.
-  const obs::Stopwatch watch;
-  auto crowd = std::make_shared<SoaCrowd>();
-  crowd->build(users, kind);
-  if (prepare != nullptr) *prepare = Prepare{false, watch.elapsed_us()};
-
-  Entry fresh;
-  fresh.data = users.data();
-  fresh.size = users.size();
-  fresh.kind = kind;
-  fresh.user_ids.reserve(users.size());
-  fresh.user_posts.reserve(users.size());
-  fresh.profile_data.reserve(users.size());
-  for (const UserProfileEntry& user : users) {
-    fresh.user_ids.push_back(user.user);
-    fresh.user_posts.push_back(user.posts);
-    fresh.profile_data.push_back(user.profile.values().data());
-  }
-  fresh.crowd = crowd;
-
-  const std::lock_guard<std::mutex> lock(mutex_);
-  fresh.generation = generation_;
-  fresh.last_used = ++tick_;
-  Entry* victim = &entries_[0];
-  for (Entry& entry : entries_) {
-    if (entry.crowd == nullptr) {
-      victim = &entry;
-      break;
-    }
-    if (entry.last_used < victim->last_used) victim = &entry;
-  }
-  *victim = std::move(fresh);
-  return crowd;
-}
-
-void SoaCrowdCache::invalidate_all() noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++generation_;
-}
-
-std::uint64_t SoaCrowdCache::hits() const noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t SoaCrowdCache::misses() const noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
 }
 
 }  // namespace tzgeo::core

@@ -7,8 +7,8 @@
 // planes (one per bin index) of `stride` doubles each, where column s
 // holds user slot s.  For the EMD metrics the planes hold each user's
 // prefix sums (CDF), computed once here and reused across all 24 zone
-// comparisons AND across calls (see SoaCrowdCache); for total variation
-// they hold the raw bins.
+// comparisons and the uniform-profile comparison of the same sweep; for
+// total variation they hold the raw bins.
 //
 //     plane 0   [ u0 u1 u2 u3 u4 u5 u6 u7 | u8 ... pad ]   <- cdf bin 0
 //     plane 1   [ u0 u1 u2 u3 u4 u5 u6 u7 | u8 ... pad ]   <- cdf bin 1
@@ -33,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/profile_builder.hpp"
@@ -82,69 +81,6 @@ class SoaCrowd {
   Planes kind_ = Planes::kCdf;
   std::vector<std::uint32_t> slot_index_;  ///< slot -> original index
   std::vector<std::uint64_t> slot_user_;   ///< slot -> user id
-};
-
-/// Process-wide cache of prepared SoA crowds.
-///
-/// The polish loop and the dossier/flat-filter passes place the SAME crowd
-/// several times in a row; without a cache each pass pays the full
-/// transpose (and CDF recomputation) again.  Lookup is by the crowd
-/// vector's identity (data pointer, size, plane kind) and a build
-/// generation; a hit is verified user-by-user against the stored
-/// (id, posts, profile-storage pointer) triples, which is O(n) pointer
-/// compares instead of O(24 n) doubles.  HourlyProfile is immutable after
-/// construction, so matching storage pointers imply matching contents;
-/// any rebuilt crowd reallocates its profile vectors and misses.
-///
-/// invalidate_all() bumps the generation, orphaning every entry (tests and
-/// the chaos harness use it; callers holding a shared_ptr keep their
-/// snapshot alive).
-class SoaCrowdCache {
- public:
-  [[nodiscard]] static SoaCrowdCache& global();
-
-  /// Outcome of one get(): whether the crowd was reused and, on a miss,
-  /// how long the transpose took.
-  struct Prepare {
-    bool hit = false;
-    std::uint64_t transpose_us = 0;
-  };
-
-  /// The prepared crowd for `users`, built on miss.
-  [[nodiscard]] std::shared_ptr<const SoaCrowd> get(const std::vector<UserProfileEntry>& users,
-                                                    SoaCrowd::Planes kind,
-                                                    Prepare* prepare = nullptr);
-
-  void invalidate_all() noexcept;
-
-  [[nodiscard]] std::uint64_t hits() const noexcept;
-  [[nodiscard]] std::uint64_t misses() const noexcept;
-
- private:
-  struct Entry {
-    const void* data = nullptr;  ///< users.data() at build time
-    std::size_t size = 0;
-    SoaCrowd::Planes kind = SoaCrowd::Planes::kCdf;
-    std::uint64_t generation = 0;
-    std::uint64_t last_used = 0;  ///< LRU tick
-    std::vector<std::uint64_t> user_ids;
-    std::vector<std::size_t> user_posts;
-    std::vector<const double*> profile_data;  ///< users[i].profile storage
-    std::shared_ptr<const SoaCrowd> crowd;
-  };
-
-  [[nodiscard]] static bool matches(const Entry& entry,
-                                    const std::vector<UserProfileEntry>& users,
-                                    SoaCrowd::Planes kind, std::uint64_t generation) noexcept;
-
-  static constexpr std::size_t kSlots = 4;
-
-  mutable std::mutex mutex_;
-  Entry entries_[kSlots];
-  std::uint64_t generation_ = 0;
-  std::uint64_t tick_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace tzgeo::core

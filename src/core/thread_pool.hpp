@@ -1,7 +1,7 @@
 // A persistent pool of worker threads executing chunked index ranges.
 //
-// place_crowd_parallel used to spawn and join fresh std::threads on every
-// invocation; at production call rates (polish rounds, bootstrap refits,
+// Crowd placement used to spawn and join fresh std::threads on every
+// call; at production call rates (polish rounds, bootstrap refits,
 // per-forum investigations, dossier batches) thread start-up dominated the
 // actual work.  The pool parks its workers on a condition variable between
 // jobs, so entering a parallel region costs two notifications instead of N
@@ -11,7 +11,7 @@
 // a shared atomic counter — but every index is processed exactly once and
 // callers write results by index, so the output of a well-formed job is
 // independent of thread count and scheduling order.  This is what keeps
-// the pooled placement paths bit-identical to their serial references.
+// the pooled crowd sweep bit-identical to its single-threaded run.
 #pragma once
 
 #include <atomic>

@@ -51,10 +51,6 @@ namespace {
   m.placement_shards = reg.counter("tzgeo_placement_shards_total", "SoA shard batches run");
   m.placement_transpose_us =
       reg.histogram("tzgeo_placement_transpose_us", "SoA transpose build wall time");
-  m.placement_soa_cache_hits =
-      reg.counter("tzgeo_placement_soa_cache_hits_total", "prepared SoA crowds reused");
-  m.placement_soa_cache_misses =
-      reg.counter("tzgeo_placement_soa_cache_misses_total", "SoA crowds transposed");
   const char* path_names[] = {"scalar", "avx2", "neon", "avx512"};
   for (std::size_t p = 0; p < m.placement_path_batches.size(); ++p) {
     m.placement_path_batches[p] =

@@ -42,8 +42,6 @@ struct PipelineMetrics {
   MetricId placement_zones_evaluated_vectorized = kInvalidMetric;
   MetricId placement_shards = kInvalidMetric;        ///< SoA shard batches run
   MetricId placement_transpose_us = kInvalidMetric;  ///< SoA build wall time
-  MetricId placement_soa_cache_hits = kInvalidMetric;
-  MetricId placement_soa_cache_misses = kInvalidMetric;
   /// Batches served per dispatch path, indexed by core::simd::Path.
   std::array<MetricId, 4> placement_path_batches{};
 

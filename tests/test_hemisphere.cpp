@@ -2,12 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <tuple>
+
 #include "synth/persona.hpp"
 #include "synth/trace_gen.hpp"
 #include "timezone/zone_db.hpp"
 #include "util/rng.hpp"
 
 namespace tzgeo::core {
+
+// gtest prints each parameter into the test name CTest discovers; the
+// default tuple printer shows the zone name's address, which changes with
+// every process.  Found by ADL through HemisphereVerdict's namespace.
+void PrintTo(const std::tuple<const char*, HemisphereVerdict>& param, std::ostream* os) {
+  *os << std::get<0>(param);
+}
+
 namespace {
 
 /// Generates a year of activity for one regular persona in `zone_name`.

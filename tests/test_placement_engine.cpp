@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/placement.hpp"
 #include "util/rng.hpp"
 
@@ -59,8 +58,8 @@ TEST(PlacementEngine, SerialEngineAndPooledBitIdenticalAllMetrics) {
   const TimeZoneProfiles zones{canonical_shape()};
   const auto users = random_crowd(600, 11, zones);
   for (const PlacementMetric metric : kAllMetrics) {
-    const PlacementResult serial = place_crowd(users, zones, metric);
-    const PlacementResult pooled = place_crowd_parallel(users, zones, metric);
+    const PlacementResult serial = place_crowd(users, zones, metric, 1);
+    const PlacementResult pooled = place_crowd(users, zones, metric);
     expect_identical(serial, pooled);
 
     const PlacementEngine engine{zones, metric};
@@ -149,11 +148,10 @@ TEST(PlacementEngine, DistanceToUniformMatchesPairwise) {
 TEST(PlacementEngine, EmptyOneUserAndOddSizedCrowds) {
   const TimeZoneProfiles zones{canonical_shape()};
   for (const PlacementMetric metric : kAllMetrics) {
-    expect_identical(place_crowd({}, zones, metric), place_crowd_parallel({}, zones, metric));
+    expect_identical(place_crowd({}, zones, metric, 1), place_crowd({}, zones, metric));
     for (const std::size_t size : {1u, 7u, 257u}) {
       const auto users = random_crowd(size, 16 + size, zones);
-      expect_identical(place_crowd(users, zones, metric),
-                       place_crowd_parallel(users, zones, metric));
+      expect_identical(place_crowd(users, zones, metric, 1), place_crowd(users, zones, metric));
     }
   }
 }

@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/placement.hpp"
 #include "core/placement_engine.hpp"
 #include "core/simd/simd.hpp"
@@ -70,24 +69,38 @@ struct PathGuard {
 
 /// place_soa over the whole crowd on the CURRENT dispatch path.
 [[nodiscard]] std::vector<UserPlacement> place_all(const PlacementEngine& engine,
-                                                   const SoaCrowd& crowd) {
+                                                   const SoaCrowd& crowd,
+                                                   std::uint8_t* flat = nullptr) {
   std::vector<UserPlacement> out(crowd.size());
   PlacementEngine::SoaStats counters;
-  engine.place_soa(crowd, 0, crowd.groups(), out.data(), counters);
+  engine.place_soa(crowd, 0, crowd.groups(), out.data(), counters, nullptr, flat);
   return out;
+}
+
+/// The per-user engine's placements: the reference every sweep must match.
+[[nodiscard]] std::vector<UserPlacement> place_per_user(
+    const PlacementEngine& engine, const std::vector<UserProfileEntry>& users) {
+  std::vector<UserPlacement> out;
+  out.reserve(users.size());
+  for (const UserProfileEntry& user : users) out.push_back(engine.place(user.user, user.profile));
+  return out;
+}
+
+void expect_same_placements(const std::vector<UserPlacement>& want,
+                            const std::vector<UserPlacement>& got) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].user, want[i].user) << "user " << i;
+    EXPECT_EQ(got[i].zone_hours, want[i].zone_hours) << "user " << i;
+    EXPECT_EQ(got[i].distance, want[i].distance) << "user " << i;
+    EXPECT_EQ(got[i].runner_up_distance, want[i].runner_up_distance) << "user " << i;
+  }
 }
 
 void expect_matches_per_user(const PlacementEngine& engine,
                              const std::vector<UserProfileEntry>& users,
                              const std::vector<UserPlacement>& got) {
-  ASSERT_EQ(got.size(), users.size());
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    const UserPlacement want = engine.place(users[i].user, users[i].profile);
-    EXPECT_EQ(got[i].user, want.user) << "user " << i;
-    EXPECT_EQ(got[i].zone_hours, want.zone_hours) << "user " << i;
-    EXPECT_EQ(got[i].distance, want.distance) << "user " << i;
-    EXPECT_EQ(got[i].runner_up_distance, want.runner_up_distance) << "user " << i;
-  }
+  expect_same_placements(place_per_user(engine, users), got);
 }
 
 TEST(SimdPlacement, EveryPathMatchesPerUserEngineAllMetrics) {
@@ -96,12 +109,19 @@ TEST(SimdPlacement, EveryPathMatchesPerUserEngineAllMetrics) {
   PathGuard guard;
   for (const PlacementMetric metric : kAllMetrics) {
     const PlacementEngine engine{zones, metric};
+    const std::vector<UserPlacement> want = place_per_user(engine, users);
     SoaCrowd crowd;
     crowd.build(users, engine.soa_planes());
     for (const simd::Path path : kAllPaths) {
       if (!simd::set_path(path)) continue;
       SCOPED_TRACE(simd::to_string(path));
-      expect_matches_per_user(engine, users, place_all(engine, crowd));
+      expect_same_placements(want, place_all(engine, crowd));
+      // Every shard count of the pooled sweep, on the same path.
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                        std::size_t{8}}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        expect_same_placements(want, place_crowd(users, zones, metric, threads).users);
+      }
     }
   }
 }
@@ -155,12 +175,11 @@ TEST(SimdPlacement, AllPathsAgreeExactly) {
 TEST(SimdPlacement, SerialAndShardedBitIdenticalAcrossThreadCounts) {
   const TimeZoneProfiles zones{canonical_shape()};
   const auto users = mixed_crowd(3'000, 55, zones);
-  const PlacementResult serial =
-      place_crowd(users, zones, PlacementMetric::kCircularEmd);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+  const PlacementResult serial = place_crowd(users, zones, PlacementMetric::kCircularEmd, 1);
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}, std::size_t{4},
                                     std::size_t{8}}) {
     const PlacementResult sharded =
-        place_crowd_parallel(users, zones, PlacementMetric::kCircularEmd, threads);
+        place_crowd(users, zones, PlacementMetric::kCircularEmd, threads);
     ASSERT_EQ(sharded.users.size(), serial.users.size());
     for (std::size_t i = 0; i < serial.users.size(); ++i) {
       EXPECT_EQ(sharded.users[i].user, serial.users[i].user);
@@ -176,19 +195,22 @@ TEST(SimdPlacement, FlatFlagsMatchPerUserComparisonOnEveryPath) {
   const TimeZoneProfiles zones{canonical_shape()};
   const auto users = mixed_crowd(1'000, 77, zones);
   PathGuard guard;
-  const PlacementEngine engine{zones, PlacementMetric::kCircularEmd};
-  SoaCrowd crowd;
-  crowd.build(users, engine.soa_planes());
-  for (const simd::Path path : kAllPaths) {
-    if (!simd::set_path(path)) continue;
-    SCOPED_TRACE(simd::to_string(path));
-    std::vector<std::uint8_t> flags(users.size(), 2);
-    PlacementEngine::SoaStats counters;
-    engine.flat_flags_soa(crowd, 0, crowd.groups(), flags.data(), counters);
-    for (std::size_t i = 0; i < users.size(); ++i) {
-      const bool want = engine.distance_to_uniform(users[i].profile) <
-                        engine.nearest_distance(users[i].profile);
-      EXPECT_EQ(flags[i], want ? 1 : 0) << "user " << i;
+  for (const PlacementMetric metric : kAllMetrics) {
+    const PlacementEngine engine{zones, metric};
+    SoaCrowd crowd;
+    crowd.build(users, engine.soa_planes());
+    for (const simd::Path path : kAllPaths) {
+      if (!simd::set_path(path)) continue;
+      SCOPED_TRACE(simd::to_string(path));
+      std::vector<std::uint8_t> flags(users.size(), 2);
+      // The fused sweep's placements are the flag-free sweep's, exactly.
+      const std::vector<UserPlacement> placed = place_all(engine, crowd, flags.data());
+      expect_matches_per_user(engine, users, placed);
+      for (std::size_t i = 0; i < users.size(); ++i) {
+        const bool want = engine.distance_to_uniform(users[i].profile) <
+                          engine.nearest_distance(users[i].profile);
+        EXPECT_EQ(flags[i], want ? 1 : 0) << "user " << i;
+      }
     }
   }
 }
@@ -207,28 +229,6 @@ TEST(SimdPlacement, PruneCountersPartitionTheZoneSweep) {
   EXPECT_EQ(counters.zone_groups_pruned + counters.zone_groups_evaluated,
             crowd.groups() * kZoneCount);
   EXPECT_GE(counters.zone_groups_evaluated, 2 * crowd.groups());  // seed pair
-}
-
-TEST(SimdPlacement, SoaCacheHitsOnRepeatAndMissesAfterInvalidate) {
-  const TimeZoneProfiles zones{canonical_shape()};
-  const auto users = mixed_crowd(100, 5, zones);
-  SoaCrowdCache& cache = SoaCrowdCache::global();
-  cache.invalidate_all();
-
-  SoaCrowdCache::Prepare first;
-  const auto a = cache.get(users, SoaCrowd::Planes::kCdf, &first);
-  EXPECT_FALSE(first.hit);
-
-  SoaCrowdCache::Prepare second;
-  const auto b = cache.get(users, SoaCrowd::Planes::kCdf, &second);
-  EXPECT_TRUE(second.hit);
-  EXPECT_EQ(a.get(), b.get());
-
-  cache.invalidate_all();
-  SoaCrowdCache::Prepare third;
-  const auto c = cache.get(users, SoaCrowd::Planes::kCdf, &third);
-  EXPECT_FALSE(third.hit);
-  EXPECT_NE(a.get(), c.get());
 }
 
 TEST(SimdDispatch, ParseChoiceCoversEverySpelling) {

@@ -19,7 +19,6 @@
 
 #include "core/bootstrap.hpp"
 #include "core/ingest.hpp"
-#include "core/parallel.hpp"
 #include "core/placement.hpp"
 #include "core/placement_engine.hpp"
 #include "core/profile.hpp"
@@ -160,11 +159,11 @@ TEST(TsanStress, ConcurrentExceptionsOnSharedPool) {
 // --- parallel placement ---------------------------------------------------
 
 TEST(TsanStress, ConcurrentPlaceCrowdParallelMatchesSerial) {
-  // Overlapping place_crowd_parallel calls on the shared global pool must
+  // Overlapping pooled place_crowd calls on the shared global pool must
   // neither race nor perturb each other's results.
   const TimeZoneProfiles zones = stress_zones();
   const std::vector<UserProfileEntry> crowd = stress_crowd(600, 7);
-  const PlacementResult serial = place_crowd(crowd, zones);
+  const PlacementResult serial = place_crowd(crowd, zones, PlacementMetric::kCircularEmd, 1);
 
   constexpr std::size_t kCallers = 6;
   std::vector<PlacementResult> results(kCallers);
@@ -172,7 +171,7 @@ TEST(TsanStress, ConcurrentPlaceCrowdParallelMatchesSerial) {
   callers.reserve(kCallers);
   for (std::size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&zones, &crowd, &results, c] {
-      results[c] = place_crowd_parallel(crowd, zones);
+      results[c] = place_crowd(crowd, zones);
     });
   }
   for (auto& t : callers) t.join();

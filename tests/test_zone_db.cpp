@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -58,6 +59,11 @@ struct ZoneExpectation {
   bool dst;
   Hemisphere hemisphere;
 };
+
+// gtest prints each parameter into the test name CTest discovers; the
+// default printer dumps the struct's bytes (a pointer and padding), which
+// change with every process.
+void PrintTo(const ZoneExpectation& expectation, std::ostream* os) { *os << expectation.name; }
 
 class ZoneDbTable : public ::testing::TestWithParam<ZoneExpectation> {};
 

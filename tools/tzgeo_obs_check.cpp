@@ -10,174 +10,19 @@
 // fresh `tzgeo_cli demo` dump so a renamed metric or a dropped span fails
 // the release job, not a dashboard three weeks later.
 //
-// util::json is a writer, so this tool carries its own small recursive-
-// descent JSON scanner — validation only, no DOM: it confirms syntactic
-// well-formedness and leaves content checks to substring probes against
-// the (already validated) text.
-#include <cctype>
+// Well-formedness comes from the library's own JSON parser
+// (util::JsonValue::parse); content checks are substring probes against
+// the already validated text.
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "util/json.hpp"
 
 namespace {
-
-/// Minimal validating JSON scanner (RFC 8259 grammar, no semantics).
-class JsonValidator {
- public:
-  explicit JsonValidator(std::string_view text) : text_(text) {}
-
-  /// True when the whole input is exactly one valid JSON value.
-  [[nodiscard]] bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  [[nodiscard]] bool value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return object();
-      case '[':
-        return array();
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  [[nodiscard]] bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (peek() != '"' || !string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  [[nodiscard]] bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  [[nodiscard]] bool string() {
-    ++pos_;  // opening quote
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() ||
-                std::isxdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-              return false;
-            }
-          }
-        } else if (std::string_view{"\"\\/bfnrt"}.find(esc) == std::string_view::npos) {
-          return false;
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return false;  // raw control character
-      }
-      ++pos_;
-    }
-    return false;  // unterminated
-  }
-
-  [[nodiscard]] bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    if (std::isdigit(static_cast<unsigned char>(peek())) == 0) return false;
-    while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-    if (peek() == '.') {
-      ++pos_;
-      if (std::isdigit(static_cast<unsigned char>(peek())) == 0) return false;
-      while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (std::isdigit(static_cast<unsigned char>(peek())) == 0) return false;
-      while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  [[nodiscard]] bool literal(std::string_view word) {
-    if (text_.compare(pos_, word.size(), word) != 0) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  [[nodiscard]] char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 [[nodiscard]] std::string read_file(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
@@ -205,7 +50,7 @@ constexpr const char* kRequiredSpans[] = {"ingest", "profiles", "filter", "place
 [[nodiscard]] int check_metrics(const std::string& path) {
   const std::string text = read_file(path);
   int failures = 0;
-  if (!JsonValidator{text}.valid()) {
+  if (!tzgeo::util::JsonValue::parse(text).has_value()) {
     std::fprintf(stderr, "FAIL %s: not valid JSON\n", path.c_str());
     return 1;
   }
@@ -231,7 +76,7 @@ constexpr const char* kRequiredSpans[] = {"ingest", "profiles", "filter", "place
 [[nodiscard]] int check_trace(const std::string& path) {
   const std::string text = read_file(path);
   int failures = 0;
-  if (!JsonValidator{text}.valid()) {
+  if (!tzgeo::util::JsonValue::parse(text).has_value()) {
     std::fprintf(stderr, "FAIL %s: not valid JSON\n", path.c_str());
     return 1;
   }
