@@ -11,6 +11,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/geolocator.hpp"
 #include "core/incremental.hpp"
@@ -55,6 +58,8 @@ core::TimeZoneProfiles reference_zones() {
 
 /// One-line ops view of the round, straight from the metrics registry:
 /// poll reliability, page volume, and the p50 poll/snapshot latencies.
+/// Latencies are wall-clock, so the line goes to stderr and stdout stays
+/// the same from run to run.
 void print_obs_stats_line() {
   const obs::PipelineMetrics& metrics = obs::PipelineMetrics::get();
   const obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
@@ -65,12 +70,13 @@ void print_obs_stats_line() {
       obs::approx_quantile(registry.histogram_value(metrics.forum_poll_us), 0.5);
   const std::uint64_t snap_p50 =
       obs::approx_quantile(registry.histogram_value(metrics.incremental_snapshot_us), 0.5);
-  std::printf("  [obs] polls %llu (failed %llu)  pages %llu  poll p50 ~%lluus  "
-              "snapshot p50 ~%lluus\n",
-              static_cast<unsigned long long>(polls), static_cast<unsigned long long>(failed),
-              static_cast<unsigned long long>(pages),
-              static_cast<unsigned long long>(poll_p50),
-              static_cast<unsigned long long>(snap_p50));
+  std::fprintf(stderr,
+               "  [obs] polls %llu (failed %llu)  pages %llu  poll p50 ~%lluus  "
+               "snapshot p50 ~%lluus\n",
+               static_cast<unsigned long long>(polls), static_cast<unsigned long long>(failed),
+               static_cast<unsigned long long>(pages),
+               static_cast<unsigned long long>(poll_p50),
+               static_cast<unsigned long long>(snap_p50));
 }
 
 /// Robustness view of the round: injected faults, degraded sweeps, and
@@ -143,7 +149,12 @@ int main() {
   // The geolocator's state rides inside the monitor checkpoint
   // (checkpoint_extra/restore_extra), so a crash loses neither.
   auto streaming = std::make_unique<core::IncrementalGeolocator>(zones);
-  const std::string checkpoint_path = "live_monitor.ckpt";
+  // One checkpoint per process, so runs started side by side in one
+  // directory never share a file.
+  const std::string checkpoint_path =
+      (std::filesystem::temp_directory_path() /
+       ("live_monitor." + std::to_string(::getpid()) + ".ckpt"))
+          .string();
   std::filesystem::remove(checkpoint_path);  // no stale campaign
   const auto wire = [&](forum::MonitorOptions& monitor) {
     monitor.checkpoint_path = checkpoint_path;
@@ -178,8 +189,7 @@ int main() {
       try {
         chunk = forum::monitor_forum(transport, onion, monitor);
       } catch (const forum::CrawlError& error) {
-        std::printf("  [chaos] %s — restarting from %s\n", error.what(),
-                    checkpoint_path.c_str());
+        std::printf("  [chaos] %s — restarting from the checkpoint\n", error.what());
         streaming = std::make_unique<core::IncrementalGeolocator>(zones);
         monitor.halt_after_polls = 0;
         chunk = forum::monitor_forum(transport, onion, monitor);

@@ -61,6 +61,11 @@ class ActivityTrace {
     [[nodiscard]] const_iterator end() const noexcept { return const_iterator{entries_.end()}; }
     [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
     [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
+    /// The i-th (user id, events) pair in id order (i < size()).
+    [[nodiscard]] std::pair<std::uint64_t, const std::vector<tz::UtcSeconds>&> operator[](
+        std::size_t i) const noexcept {
+      return {entries_[i].id, *entries_[i].events};
+    }
 
    private:
     friend class ActivityTrace;

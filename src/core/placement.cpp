@@ -4,7 +4,6 @@
 #include <array>
 #include <limits>
 #include <mutex>
-#include <thread>
 
 #include "core/crowd_sweep.hpp"
 #include "core/soa_crowd.hpp"
@@ -76,20 +75,13 @@ void sweep_crowd(const std::vector<UserProfileEntry>& users, const PlacementEngi
   const obs::PipelineMetrics& metrics = obs::PipelineMetrics::get();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
 
+  ThreadPool& pool = ThreadPool::global();
+  threads = users.size() < kSerialCutoff ? 1 : pool.shard_count(threads);
+
   const obs::Stopwatch transpose_watch;
   SoaCrowd crowd;
-  crowd.build(users, engine.soa_planes());
+  crowd.build(users, engine.soa_planes(), threads);
   registry.observe(metrics.placement_transpose_us, transpose_watch.elapsed_us());
-
-  ThreadPool& pool = ThreadPool::global();
-  if (threads == 0) {
-    // The caller participates alongside the pool workers, but never shard
-    // wider than the machine: on a single-core host pool.size() + 1 == 2
-    // would split the crowd into two shards that time-share one core.
-    const std::size_t hardware = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-    threads = std::min(pool.size() + 1, hardware);
-  }
-  if (users.size() < kSerialCutoff) threads = 1;
 
   if (zone_counts != nullptr) std::fill(zone_counts, zone_counts + kZoneCount, 0.0);
   std::mutex counts_mutex;

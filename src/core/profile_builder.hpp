@@ -42,6 +42,11 @@ struct ProfileBuildOptions {
   /// `low_activity_fraction` x median daily activity.
   bool filter_low_activity_days = true;
   double low_activity_fraction = 0.35;
+  /// Shard cap, as for place_crowd: 0 builds one shard per core (capped by
+  /// the hardware concurrency), n builds at most n shards on the shared
+  /// pool.  Small traces always build as one shard.  The result does not
+  /// depend on it.
+  std::size_t threads = 0;
 };
 
 /// One profiled user.
@@ -62,6 +67,7 @@ struct ProfileSet {
 };
 
 /// Builds per-user profiles (Equation 1) with the polishing steps above.
+/// Users come out in ascending id order.
 [[nodiscard]] ProfileSet build_profiles(const ActivityTrace& trace,
                                         const ProfileBuildOptions& options = {});
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <new>
 
+#include "core/thread_pool.hpp"
 #include "stats/emd.hpp"
 
 namespace tzgeo::core {
@@ -10,6 +11,10 @@ namespace tzgeo::core {
 namespace {
 
 constexpr std::size_t kPlaneAlign = 64;  ///< cache line; covers 32B AVX loads
+constexpr std::size_t kLineDoubles = kPlaneAlign / sizeof(double);
+constexpr std::size_t kL1SetSpan = 4096;  ///< bytes between addresses sharing an L1 set
+
+static_assert(simd::kLanes % kLineDoubles == 0, "a group covers whole cache lines");
 
 /// Argmax bin of a profile (ties -> lowest index): a one-pass proxy for
 /// the user's eventual zone, used only to group like-zoned users.
@@ -28,16 +33,18 @@ void SoaCrowd::Free::operator()(double* p) const noexcept {
   ::operator delete[](p, std::align_val_t{kPlaneAlign});
 }
 
-void SoaCrowd::build(const std::vector<UserProfileEntry>& users, Planes kind) {
+void SoaCrowd::build(const std::vector<UserProfileEntry>& users, Planes kind,
+                     std::size_t threads) {
   const std::size_t n = users.size();
   size_ = n;
   kind_ = kind;
   stride_ = (n + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
+  pitch_ = stride_ * sizeof(double) % kL1SetSpan == 0 ? stride_ + kLineDoubles : stride_;
   slot_index_.resize(n);
   slot_user_.resize(n);
   if (n == 0) return;
 
-  const std::size_t needed = kProfileBins * stride_;
+  const std::size_t needed = kProfileBins * pitch_;
   if (needed > capacity_) {
     planes_.reset(static_cast<double*>(
         ::operator new[](needed * sizeof(double), std::align_val_t{kPlaneAlign})));
@@ -59,25 +66,29 @@ void SoaCrowd::build(const std::vector<UserProfileEntry>& users, Planes kind) {
     slot_user_[s] = users[i].user;
   }
 
-  // Column transpose.  Consecutive slots write consecutive positions of
-  // each plane, so the working set per iteration is 24 resident lines.
-  double column[kProfileBins];
-  for (std::size_t s = 0; s < n; ++s) {
-    const double* bins = users[slot_index_[s]].profile.values().data();
-    const double* src = bins;
-    if (kind == Planes::kCdf) {
-      stats::prefix_sums_24(bins, column);
-      src = column;
-    }
-    for (std::size_t b = 0; b < kProfileBins; ++b) {
-      planes_[b * stride_ + s] = src[b];
-    }
-  }
+  // Column transpose, sharded by whole groups so no two shards write one
+  // cache line.  Consecutive slots write consecutive positions of each
+  // plane, so the working set per iteration is 24 resident lines.
+  double* planes = planes_.get();
+  ThreadPool::global().for_chunks(
+      groups(), threads, [&](std::size_t group_begin, std::size_t group_end) {
+        double column[kProfileBins];
+        const std::size_t slot_end = std::min(group_end * simd::kLanes, n);
+        for (std::size_t s = group_begin * simd::kLanes; s < slot_end; ++s) {
+          const double* bins = users[slot_index_[s]].profile.values().data();
+          const double* src = bins;
+          if (kind == Planes::kCdf) {
+            stats::prefix_sums_24(bins, column);
+            src = column;
+          }
+          for (std::size_t b = 0; b < kProfileBins; ++b) planes[b * pitch_ + s] = src[b];
+        }
+      });
   // Tail pad: clone the last real column so pad lanes act as a duplicate
   // user (prune-neutral, finite, discarded by the scatter).
   for (std::size_t s = n; s < stride_; ++s) {
     for (std::size_t b = 0; b < kProfileBins; ++b) {
-      planes_[b * stride_ + s] = planes_[b * stride_ + (n - 1)];
+      planes[b * pitch_ + s] = planes[b * pitch_ + (n - 1)];
     }
   }
 }

@@ -121,6 +121,14 @@ void ThreadPool::for_chunks(std::size_t n, std::size_t max_chunks,
   }
 }
 
+std::size_t ThreadPool::shard_count(std::size_t threads) const noexcept {
+  if (threads != 0) return threads;
+  // On a single-core host size() + 1 == 2 would split a job into two
+  // shards that time-share one core.
+  const std::size_t hardware = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  return std::min(workers_.size() + 1, hardware);
+}
+
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;

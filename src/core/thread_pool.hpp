@@ -50,6 +50,11 @@ class ThreadPool {
   void for_chunks(std::size_t n, std::size_t max_chunks,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 
+  /// Shards for a job capped at `threads`: `threads` itself, or for 0 one
+  /// per available thread (the workers plus the caller), but never more
+  /// than the machine has cores.  Always at least 1.
+  [[nodiscard]] std::size_t shard_count(std::size_t threads) const noexcept;
+
   /// The process-wide pool shared by the parallel pipeline stages
   /// (placement, flat filter, dossiers, bootstrap).  Created lazily on
   /// first use and kept alive for the process lifetime.

@@ -185,6 +185,42 @@ TEST(TsanStress, ConcurrentPlaceCrowdParallelMatchesSerial) {
   }
 }
 
+TEST(TsanStress, ConcurrentBuildProfilesOnSharedPool) {
+  // Two callers shard build_profiles over the global pool at once; each
+  // must get exactly the one-shard result.
+  util::Rng rng{11};
+  ActivityTrace trace;
+  for (std::uint64_t user = 0; user < 600; ++user) {
+    const std::int64_t peak = rng.uniform_int(0, 23);
+    for (int i = 0; i < 60; ++i) {
+      trace.add(user, 1'451'606'400 + rng.uniform_int(0, 120) * 86'400 +
+                          ((peak + rng.uniform_int(-2, 2) + 24) % 24) * 3'600);
+    }
+  }
+  ProfileBuildOptions options;
+  options.threads = 1;
+  const ProfileSet serial = build_profiles(trace, options);
+  ASSERT_FALSE(serial.users.empty());
+
+  std::vector<ProfileSet> results(2);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < results.size(); ++c) {
+    callers.emplace_back([&trace, &results, c] { results[c] = build_profiles(trace, {}); });
+  }
+  for (auto& t : callers) t.join();
+
+  for (const ProfileSet& parallel : results) {
+    EXPECT_EQ(parallel.filtered_inactive, serial.filtered_inactive);
+    EXPECT_EQ(parallel.filtered_days, serial.filtered_days);
+    ASSERT_EQ(parallel.users.size(), serial.users.size());
+    for (std::size_t i = 0; i < serial.users.size(); ++i) {
+      EXPECT_EQ(parallel.users[i].user, serial.users[i].user);
+      EXPECT_EQ(parallel.users[i].posts, serial.users[i].posts);
+      EXPECT_EQ(parallel.users[i].profile, serial.users[i].profile);
+    }
+  }
+}
+
 TEST(TsanStress, ConcurrentShardedSoaPlacementOnSharedCrowd) {
   // Several threads shard the SAME prepared SoA crowd through place_soa
   // while another flips the dispatch path: the kernels read shared
