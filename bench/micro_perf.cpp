@@ -157,7 +157,7 @@ void BM_SimdRowLinear24(benchmark::State& state) {
   const core::simd::KernelTable& kernels = core::simd::kernels();
   std::size_t group = 0;
   for (auto _ : state) {
-    kernels.row_linear(crowd.planes(), crowd.pitch(), group * core::simd::kLanes, row_cdf,
+    kernels.row_linear(crowd.planes(), crowd.stride(), group * core::simd::kLanes, row_cdf,
                        out);
     benchmark::DoNotOptimize(out[0]);
     group = (group + 1) % crowd.groups();
@@ -176,7 +176,7 @@ void BM_SimdRowCircular24(benchmark::State& state) {
   const core::simd::KernelTable& kernels = core::simd::kernels();
   std::size_t group = 0;
   for (auto _ : state) {
-    kernels.row_circular(crowd.planes(), crowd.pitch(), group * core::simd::kLanes,
+    kernels.row_circular(crowd.planes(), crowd.stride(), group * core::simd::kLanes,
                          row_cdf, out);
     benchmark::DoNotOptimize(out[0]);
     group = (group + 1) % crowd.groups();

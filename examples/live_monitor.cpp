@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include <unistd.h>
 
@@ -97,6 +98,17 @@ void print_chaos_stats_line(const fault::FaultInjector& injector) {
                   registry.counter_value(metrics.forum_checkpoint_resumes)));
 }
 
+/// Deletes the checkpoint (and any half-written temporary beside it) when
+/// main leaves, on every path, so runs leave no files behind.
+struct CheckpointCleanup {
+  std::string path;
+  ~CheckpointCleanup() {
+    std::error_code ignored;
+    std::filesystem::remove(path, ignored);
+    std::filesystem::remove(path + ".tmp", ignored);
+  }
+};
+
 }  // namespace
 
 int main() {
@@ -156,6 +168,7 @@ int main() {
        ("live_monitor." + std::to_string(::getpid()) + ".ckpt"))
           .string();
   std::filesystem::remove(checkpoint_path);  // no stale campaign
+  const CheckpointCleanup cleanup{checkpoint_path};
   const auto wire = [&](forum::MonitorOptions& monitor) {
     monitor.checkpoint_path = checkpoint_path;
     monitor.checkpoint_every_polls = 16;

@@ -187,7 +187,7 @@ void PlacementEngine::place_soa(const SoaCrowd& crowd, std::size_t group_begin,
                                 double* zone_counts, std::uint8_t* flat) const noexcept {
   const simd::KernelTable& kernels = simd::kernels();
   const double* planes = crowd.planes();
-  const std::size_t pitch = crowd.pitch();
+  const std::size_t stride = crowd.stride();
   simd::GroupPlacement group;
   simd::GroupStats group_stats;
   alignas(64) double to_uniform[simd::kLanes];
@@ -195,23 +195,23 @@ void PlacementEngine::place_soa(const SoaCrowd& crowd, std::size_t group_begin,
     const std::size_t base = g * simd::kLanes;
     switch (metric_) {
       case PlacementMetric::kEmd:
-        kernels.place_linear(planes, pitch, base, zone_cdfs_.data(), group);
+        kernels.place_linear(planes, stride, base, zone_cdfs_.data(), group);
         if (flat != nullptr) {
-          kernels.row_linear(planes, pitch, base, uniform_cdf_.data(), to_uniform);
+          kernels.row_linear(planes, stride, base, uniform_cdf_.data(), to_uniform);
         }
         group_stats.zone_groups_evaluated += kZoneCount;
         break;
       case PlacementMetric::kCircularEmd:
-        kernels.place_circular(planes, pitch, base, zone_circ_rows_.data(), group,
+        kernels.place_circular(planes, stride, base, zone_circ_rows_.data(), group,
                                group_stats);
         if (flat != nullptr) {
-          kernels.row_circular(planes, pitch, base, uniform_cdf_.data(), to_uniform);
+          kernels.row_circular(planes, stride, base, uniform_cdf_.data(), to_uniform);
         }
         break;
       case PlacementMetric::kTotalVariation:
-        kernels.place_tv(planes, pitch, base, zone_bins_.data(), group);
+        kernels.place_tv(planes, stride, base, zone_bins_.data(), group);
         if (flat != nullptr) {
-          kernels.row_tv(planes, pitch, base, uniform_bins_.data(), to_uniform);
+          kernels.row_tv(planes, stride, base, uniform_bins_.data(), to_uniform);
         }
         group_stats.zone_groups_evaluated += kZoneCount;
         break;

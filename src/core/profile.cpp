@@ -48,14 +48,10 @@ double HourlyProfile::flatness() const {
 }
 
 HourlyProfile aggregate_profiles(std::span<const HourlyProfile> profiles) {
-  if (profiles.empty()) {
-    throw std::invalid_argument("aggregate_profiles: no profiles");
-  }
-  std::vector<double> sum(kProfileBins, 0.0);
-  for (const auto& profile : profiles) {
-    for (std::size_t h = 0; h < kProfileBins; ++h) sum[h] += profile[h];
-  }
-  return HourlyProfile::from_counts(sum);
+  return aggregate_profiles(profiles,
+                            [](const HourlyProfile& profile) -> const HourlyProfile& {
+                              return profile;
+                            });
 }
 
 }  // namespace tzgeo::core

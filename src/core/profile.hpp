@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "util/constants.hpp"
@@ -56,5 +58,21 @@ class HourlyProfile {
 /// Equation 2: population profile as the normalized sum of user profiles.
 /// (Each user profile sums to 1, so this is the per-bin mean.)
 [[nodiscard]] HourlyProfile aggregate_profiles(std::span<const HourlyProfile> profiles);
+
+/// Equation 2 over any non-empty range whose elements carry a profile,
+/// read through `profile_of(element)`; bins are summed in range order, so
+/// the result equals aggregate_profiles over copies of those profiles.
+template <typename Range, typename ProfileOf>
+[[nodiscard]] HourlyProfile aggregate_profiles(const Range& items, ProfileOf profile_of) {
+  if (std::empty(items)) {
+    throw std::invalid_argument("aggregate_profiles: no profiles");
+  }
+  std::vector<double> sum(kProfileBins, 0.0);
+  for (const auto& item : items) {
+    const HourlyProfile& profile = profile_of(item);
+    for (std::size_t h = 0; h < kProfileBins; ++h) sum[h] += profile[h];
+  }
+  return HourlyProfile::from_counts(sum);
+}
 
 }  // namespace tzgeo::core

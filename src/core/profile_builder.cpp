@@ -103,26 +103,13 @@ void for_shards(std::size_t shards, std::size_t n, const Fn& fn) {
   return dropped;
 }
 
-/// The days the holiday filter drops: a flag per day over
-/// [first_day, first_day + flags.size()), or a sorted list when the
-/// trace's day range is larger than its event count.
-struct DroppedDays {
-  std::int64_t first_day = 0;
-  std::vector<std::uint8_t> flags;
-  std::vector<std::int64_t> sorted;
-
-  [[nodiscard]] bool contains(std::int64_t day) const noexcept {
-    if (!flags.empty()) return flags[static_cast<std::size_t>(day - first_day)] != 0;
-    return !sorted.empty() && std::binary_search(sorted.begin(), sorted.end(), day);
-  }
-};
-
 /// Site-wide activity per calendar day, then the holiday filter over it.
 /// Days with no events never appear, so both counting strategies see the
 /// same ascending (day, count) runs and drop the same days.
-[[nodiscard]] DroppedDays find_dropped_days(const ActivityTrace::UsersView& view,
-                                            std::size_t events, std::size_t shards,
-                                            const ProfileBuildOptions& options) {
+/// Returns the dropped days in ascending order.
+[[nodiscard]] std::vector<std::int64_t> find_dropped_days(const ActivityTrace::UsersView& view,
+                                                          std::size_t events, std::size_t shards,
+                                                          const ProfileBuildOptions& options) {
   const std::size_t n = view.size();
   std::vector<std::int64_t> first(shards, std::numeric_limits<std::int64_t>::max());
   std::vector<std::int64_t> last(shards, std::numeric_limits<std::int64_t>::min());
@@ -186,35 +173,23 @@ struct DroppedDays {
     }
   }
 
-  DroppedDays dropped;
-  dropped.sorted = low_activity_days(days, counts, options.low_activity_fraction);
-  if (range <= events && !dropped.sorted.empty()) {
-    dropped.first_day = lo;
-    dropped.flags.assign(static_cast<std::size_t>(range), 0);
-    for (const std::int64_t day : dropped.sorted) {
-      dropped.flags[static_cast<std::size_t>(day - lo)] = 1;
-    }
-  }
-  return dropped;
+  return low_activity_days(days, counts, options.low_activity_fraction);
 }
 
 }  // namespace
 
 HourlyProfile ProfileSet::population_profile() const {
-  if (users.empty()) {
-    throw std::invalid_argument("aggregate_profiles: no profiles");
-  }
-  // aggregate_profiles without copying every profile: the same per-bin
-  // sums in the same user order.
-  std::vector<double> sum(kProfileBins, 0.0);
-  for (const auto& entry : users) {
-    const std::vector<double>& values = entry.profile.values();
-    for (std::size_t h = 0; h < kProfileBins; ++h) sum[h] += values[h];
-  }
-  return HourlyProfile::from_counts(sum);
+  return aggregate_profiles(users, [](const UserProfileEntry& entry) -> const HourlyProfile& {
+    return entry.profile;
+  });
 }
 
 ProfileSet build_profiles(const ActivityTrace& trace, const ProfileBuildOptions& options) {
+  return detail::build_profiles(trace, options, 0);
+}
+
+ProfileSet detail::build_profiles(const ActivityTrace& trace, const ProfileBuildOptions& options,
+                                  std::size_t threads) {
   const obs::ScopedSpan profiles_span("profiles");
   if (options.binning != HourBinning::kUtc && options.zone == nullptr) {
     throw std::invalid_argument("build_profiles: zone-aware binning requires a zone");
@@ -231,11 +206,12 @@ ProfileSet build_profiles(const ActivityTrace& trace, const ProfileBuildOptions&
   const std::size_t shards =
       events < kSerialCutoffEvents
           ? 1
-          : std::min(ThreadPool::global().shard_count(options.threads), n);
+          : std::min(ThreadPool::global().shard_count(threads), n);
 
-  DroppedDays dropped;
+  // Ascending, so membership is a binary search.
+  std::vector<std::int64_t> dropped;
   if (options.filter_low_activity_days) dropped = find_dropped_days(view, events, shards, options);
-  result.filtered_days = dropped.sorted.size();
+  result.filtered_days = dropped.size();
 
   // Equation 1 per user over the surviving days, each shard writing only
   // its own users' slots.  Counting each distinct (day, hour) cell once
@@ -250,7 +226,7 @@ ProfileSet build_profiles(const ActivityTrace& trace, const ProfileBuildOptions&
       cells.clear();
       for (const tz::UtcSeconds t : times) {
         const DayHour bin = bin_of(t, options);
-        if (dropped.contains(bin.day)) continue;
+        if (std::binary_search(dropped.begin(), dropped.end(), bin.day)) continue;
         cells.push_back(cell_of_day_hour(bin.day, bin.hour));
       }
       if (cells.size() < options.min_posts) continue;

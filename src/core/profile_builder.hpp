@@ -42,11 +42,6 @@ struct ProfileBuildOptions {
   /// `low_activity_fraction` x median daily activity.
   bool filter_low_activity_days = true;
   double low_activity_fraction = 0.35;
-  /// Shard cap, as for place_crowd: 0 builds one shard per core (capped by
-  /// the hardware concurrency), n builds at most n shards on the shared
-  /// pool.  Small traces always build as one shard.  The result does not
-  /// depend on it.
-  std::size_t threads = 0;
 };
 
 /// One profiled user.
@@ -67,8 +62,20 @@ struct ProfileSet {
 };
 
 /// Builds per-user profiles (Equation 1) with the polishing steps above.
-/// Users come out in ascending id order.
+/// Users come out in ascending id order.  Large traces build in shards of
+/// users on the shared pool, one per core.
 [[nodiscard]] ProfileSet build_profiles(const ActivityTrace& trace,
                                         const ProfileBuildOptions& options = {});
+
+namespace detail {
+
+/// Internal: build_profiles with its shard cap exposed, so tests can check
+/// that the result does not depend on it.  `threads` caps the shard count
+/// as for sweep_crowd (0 picks one per core; traces too small for
+/// sharding to pay build as one shard).
+[[nodiscard]] ProfileSet build_profiles(const ActivityTrace& trace,
+                                        const ProfileBuildOptions& options, std::size_t threads);
+
+}  // namespace detail
 
 }  // namespace tzgeo::core

@@ -73,9 +73,9 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 inline constexpr double kPruneMargin = 1e-12;
 
 /// plane b, lane 0 of the group at `base`.
-[[nodiscard]] inline const double* plane(const double* planes, std::size_t pitch,
+[[nodiscard]] inline const double* plane(const double* planes, std::size_t stride,
                                          std::size_t base, std::size_t bin) noexcept {
-  return planes + bin * pitch + base;
+  return planes + bin * stride + base;
 }
 
 /// The scalar nearest/runner-up update of PlacementEngine::place_impl,
@@ -97,12 +97,12 @@ inline void update_best(typename V::Reg& dist, typename V::Reg& runner,
 /// Linear EMD of the group against one zone row: work = sum_i |P_i - Q_i|,
 /// accumulated in bin order exactly like stats::emd_linear_cdf_24.
 template <class V>
-[[nodiscard]] inline typename V::Reg row_work_linear(const double* planes, std::size_t pitch,
+[[nodiscard]] inline typename V::Reg row_work_linear(const double* planes, std::size_t stride,
                                                      std::size_t base,
                                                      const double* row_cdf) noexcept {
   typename V::Reg work = V::zero();
   for (std::size_t i = 0; i < kProfileBins; ++i) {
-    work = V::add(work, V::abs(V::sub(V::load(plane(planes, pitch, base, i)),
+    work = V::add(work, V::abs(V::sub(V::load(plane(planes, stride, base, i)),
                                       V::broadcast(row_cdf[i]))));
   }
   return work;
@@ -111,12 +111,12 @@ template <class V>
 /// Total variation of the group against one zone row, accumulated like
 /// stats::total_variation_24 (sum first, halved once at the end).
 template <class V>
-[[nodiscard]] inline typename V::Reg row_work_tv(const double* planes, std::size_t pitch,
+[[nodiscard]] inline typename V::Reg row_work_tv(const double* planes, std::size_t stride,
                                                  std::size_t base,
                                                  const double* row_bins) noexcept {
   typename V::Reg sum = V::zero();
   for (std::size_t i = 0; i < kProfileBins; ++i) {
-    sum = V::add(sum, V::abs(V::sub(V::load(plane(planes, pitch, base, i)),
+    sum = V::add(sum, V::abs(V::sub(V::load(plane(planes, stride, base, i)),
                                     V::broadcast(row_bins[i]))));
   }
   return V::mul_half(sum);
@@ -156,12 +156,12 @@ template <class V>
 
 /// Exact circular work of the group against one zone's CDF row.
 template <class V>
-[[nodiscard]] inline typename V::Reg eval_work(const double* planes, std::size_t pitch,
+[[nodiscard]] inline typename V::Reg eval_work(const double* planes, std::size_t stride,
                                                std::size_t base,
                                                const double* row_cdf) noexcept {
   typename V::Reg diff[kProfileBins];
   for (std::size_t i = 0; i < kProfileBins; ++i) {
-    diff[i] = V::sub(V::load(plane(planes, pitch, base, i)), V::broadcast(row_cdf[i]));
+    diff[i] = V::sub(V::load(plane(planes, stride, base, i)), V::broadcast(row_cdf[i]));
   }
   return circular_work<V>(diff);
 }
@@ -173,13 +173,13 @@ template <class V>
 /// operation order — each stream's arithmetic is bit-identical to a solo
 /// eval_work run.
 template <class V>
-inline void eval_work2(const double* planes, std::size_t pitch, std::size_t base,
+inline void eval_work2(const double* planes, std::size_t stride, std::size_t base,
                        const double* row_a, const double* row_b, typename V::Reg& out_a,
                        typename V::Reg& out_b) noexcept {
   typename V::Reg da[kProfileBins];
   typename V::Reg db[kProfileBins];
   for (std::size_t i = 0; i < kProfileBins; ++i) {
-    const typename V::Reg p = V::load(plane(planes, pitch, base, i));
+    const typename V::Reg p = V::load(plane(planes, stride, base, i));
     da[i] = V::sub(p, V::broadcast(row_a[i]));
     db[i] = V::sub(p, V::broadcast(row_b[i]));
   }
@@ -210,7 +210,7 @@ static_assert(kZoneCount % 4 == 0, "the x4 zone blocks below assume it");
 
 template <class V>
 // tzgeo: hot
-void place_linear(const double* planes, std::size_t pitch, std::size_t base,
+void place_linear(const double* planes, std::size_t stride, std::size_t base,
                   const double* zone_cdfs, GroupPlacement& out) noexcept {
   typename V::Reg dist = V::broadcast(kInf);
   typename V::Reg runner = V::broadcast(kInf);
@@ -222,7 +222,7 @@ void place_linear(const double* planes, std::size_t pitch, std::size_t base,
     const double* row0 = zone_cdfs + bin * kProfileBins;
     typename V::Reg w[4] = {V::zero(), V::zero(), V::zero(), V::zero()};
     for (std::size_t i = 0; i < kProfileBins; ++i) {
-      const typename V::Reg p = V::load(plane(planes, pitch, base, i));
+      const typename V::Reg p = V::load(plane(planes, stride, base, i));
       w[0] = V::add(w[0], V::abs(V::sub(p, V::broadcast(row0[i]))));
       w[1] = V::add(w[1], V::abs(V::sub(p, V::broadcast(row0[i + kProfileBins]))));
       w[2] = V::add(w[2], V::abs(V::sub(p, V::broadcast(row0[i + 2 * kProfileBins]))));
@@ -260,7 +260,7 @@ void place_linear(const double* planes, std::size_t pitch, std::size_t base,
 /// which is what lets the margin prune discard most of the other 22.
 template <class V>
 // tzgeo: hot
-void place_circular(const double* planes, std::size_t pitch, std::size_t base,
+void place_circular(const double* planes, std::size_t stride, std::size_t base,
                     const double* zone_rows, GroupPlacement& out,
                     GroupStats& stats) noexcept {
   // Hoisted pair differences pd_i = P_i - P_{i+12}: the exact pair bound
@@ -270,8 +270,8 @@ void place_circular(const double* planes, std::size_t pitch, std::size_t base,
   // the summation error budget the margin already covers.
   typename V::Reg pd[kProfileBins / 2];
   for (std::size_t i = 0; i < kProfileBins / 2; ++i) {
-    pd[i] = V::sub(V::load(plane(planes, pitch, base, i)),
-                   V::load(plane(planes, pitch, base, i + kProfileBins / 2)));
+    pd[i] = V::sub(V::load(plane(planes, stride, base, i)),
+                   V::load(plane(planes, stride, base, i + kProfileBins / 2)));
   }
   alignas(64) double bounds[kZoneCount][kLanes];
   double bmin[kZoneCount];
@@ -324,7 +324,7 @@ void place_circular(const double* planes, std::size_t pitch, std::size_t base,
   alignas(64) double works[kZoneCount][kLanes];
   typename V::Reg w0;
   typename V::Reg w1;
-  eval_work2<V>(planes, pitch, base, zone_rows + ord[0] * kCircularZoneRowPitch,
+  eval_work2<V>(planes, stride, base, zone_rows + ord[0] * kCircularZoneRowPitch,
                 zone_rows + ord[1] * kCircularZoneRowPitch, w0, w1);
   V::store(works[ord[0]], w0);
   V::store(works[ord[1]], w1);
@@ -355,7 +355,7 @@ void place_circular(const double* planes, std::size_t pitch, std::size_t base,
     if (V::all_true(V::ge(V::sub(V::broadcast(pair_row[pick]), w0), cutoff))) continue;
     ++evals;
     const typename V::Reg work =
-        eval_work<V>(planes, pitch, base, zone_rows + pick * kCircularZoneRowPitch);
+        eval_work<V>(planes, stride, base, zone_rows + pick * kCircularZoneRowPitch);
     V::store(works[pick], work);
     evaluated |= 1u << pick;
     update_best<V>(dist_est, runner_est, zone_scratch, work, V::zero());
@@ -382,7 +382,7 @@ void place_circular(const double* planes, std::size_t pitch, std::size_t base,
 
 template <class V>
 // tzgeo: hot
-void place_tv(const double* planes, std::size_t pitch, std::size_t base,
+void place_tv(const double* planes, std::size_t stride, std::size_t base,
               const double* zone_bins, GroupPlacement& out) noexcept {
   typename V::Reg dist = V::broadcast(kInf);
   typename V::Reg runner = V::broadcast(kInf);
@@ -392,7 +392,7 @@ void place_tv(const double* planes, std::size_t pitch, std::size_t base,
     const double* row0 = zone_bins + bin * kProfileBins;
     typename V::Reg w[4] = {V::zero(), V::zero(), V::zero(), V::zero()};
     for (std::size_t i = 0; i < kProfileBins; ++i) {
-      const typename V::Reg p = V::load(plane(planes, pitch, base, i));
+      const typename V::Reg p = V::load(plane(planes, stride, base, i));
       w[0] = V::add(w[0], V::abs(V::sub(p, V::broadcast(row0[i]))));
       w[1] = V::add(w[1], V::abs(V::sub(p, V::broadcast(row0[i + kProfileBins]))));
       w[2] = V::add(w[2], V::abs(V::sub(p, V::broadcast(row0[i + 2 * kProfileBins]))));
@@ -410,23 +410,23 @@ void place_tv(const double* planes, std::size_t pitch, std::size_t base,
 
 template <class V>
 // tzgeo: hot
-void row_linear(const double* planes, std::size_t pitch, std::size_t base,
+void row_linear(const double* planes, std::size_t stride, std::size_t base,
                 const double* row_cdf, double* out) noexcept {
-  V::store(out, row_work_linear<V>(planes, pitch, base, row_cdf));
+  V::store(out, row_work_linear<V>(planes, stride, base, row_cdf));
 }
 
 template <class V>
 // tzgeo: hot
-void row_circular(const double* planes, std::size_t pitch, std::size_t base,
+void row_circular(const double* planes, std::size_t stride, std::size_t base,
                   const double* row_cdf, double* out) noexcept {
-  V::store(out, eval_work<V>(planes, pitch, base, row_cdf));
+  V::store(out, eval_work<V>(planes, stride, base, row_cdf));
 }
 
 template <class V>
 // tzgeo: hot
-void row_tv(const double* planes, std::size_t pitch, std::size_t base,
+void row_tv(const double* planes, std::size_t stride, std::size_t base,
             const double* row_bins, double* out) noexcept {
-  V::store(out, row_work_tv<V>(planes, pitch, base, row_bins));
+  V::store(out, row_work_tv<V>(planes, stride, base, row_bins));
 }
 
 /// The full table of one backend.

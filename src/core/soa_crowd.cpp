@@ -11,10 +11,9 @@ namespace tzgeo::core {
 namespace {
 
 constexpr std::size_t kPlaneAlign = 64;  ///< cache line; covers 32B AVX loads
-constexpr std::size_t kLineDoubles = kPlaneAlign / sizeof(double);
-constexpr std::size_t kL1SetSpan = 4096;  ///< bytes between addresses sharing an L1 set
 
-static_assert(simd::kLanes % kLineDoubles == 0, "a group covers whole cache lines");
+static_assert(simd::kLanes * sizeof(double) % kPlaneAlign == 0,
+              "a group covers whole cache lines");
 
 /// Argmax bin of a profile (ties -> lowest index): a one-pass proxy for
 /// the user's eventual zone, used only to group like-zoned users.
@@ -39,12 +38,11 @@ void SoaCrowd::build(const std::vector<UserProfileEntry>& users, Planes kind,
   size_ = n;
   kind_ = kind;
   stride_ = (n + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
-  pitch_ = stride_ * sizeof(double) % kL1SetSpan == 0 ? stride_ + kLineDoubles : stride_;
   slot_index_.resize(n);
   slot_user_.resize(n);
   if (n == 0) return;
 
-  const std::size_t needed = kProfileBins * pitch_;
+  const std::size_t needed = kProfileBins * stride_;
   if (needed > capacity_) {
     planes_.reset(static_cast<double*>(
         ::operator new[](needed * sizeof(double), std::align_val_t{kPlaneAlign})));
@@ -81,14 +79,14 @@ void SoaCrowd::build(const std::vector<UserProfileEntry>& users, Planes kind,
             stats::prefix_sums_24(bins, column);
             src = column;
           }
-          for (std::size_t b = 0; b < kProfileBins; ++b) planes[b * pitch_ + s] = src[b];
+          for (std::size_t b = 0; b < kProfileBins; ++b) planes[b * stride_ + s] = src[b];
         }
       });
   // Tail pad: clone the last real column so pad lanes act as a duplicate
   // user (prune-neutral, finite, discarded by the scatter).
   for (std::size_t s = n; s < stride_; ++s) {
     for (std::size_t b = 0; b < kProfileBins; ++b) {
-      planes[b * pitch_ + s] = planes[b * pitch_ + (n - 1)];
+      planes[b * stride_ + s] = planes[b * stride_ + (n - 1)];
     }
   }
 }

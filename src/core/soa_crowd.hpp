@@ -28,11 +28,6 @@
 // real user's column: pad lanes then behave exactly like a duplicate of a
 // real user, so they can never block the group-consensus prune or produce
 // non-finite intermediates.  Their outputs are discarded by the scatter.
-//
-// Planes sit `pitch` doubles apart.  The pitch is the stride, plus one
-// cache line when the stride is a multiple of 4 KB: otherwise the 24
-// stores of one column all map to the same L1 set, which made a crowd of
-// 8192 users nearly twice as slow to transpose as one of 8200.
 #pragma once
 
 #include <cstddef>
@@ -68,9 +63,7 @@ class SoaCrowd {
   [[nodiscard]] std::size_t groups() const noexcept { return stride_ / simd::kLanes; }
   [[nodiscard]] Planes kind() const noexcept { return kind_; }
 
-  /// Doubles from one plane to the next (>= stride()).
-  [[nodiscard]] std::size_t pitch() const noexcept { return pitch_; }
-  /// Plane base pointer (plane b starts at planes() + b * pitch()).
+  /// Plane base pointer (plane b starts at planes() + b * stride()).
   [[nodiscard]] const double* planes() const noexcept { return planes_.get(); }
 
   /// Original input index of slot `s` (s < size()).
@@ -87,7 +80,6 @@ class SoaCrowd {
   std::size_t capacity_ = 0;  ///< allocated doubles in planes_
   std::size_t size_ = 0;
   std::size_t stride_ = 0;
-  std::size_t pitch_ = 0;
   Planes kind_ = Planes::kCdf;
   std::vector<std::uint32_t> slot_index_;  ///< slot -> original index
   std::vector<std::uint64_t> slot_user_;   ///< slot -> user id

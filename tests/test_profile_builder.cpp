@@ -364,8 +364,7 @@ TEST(BuildProfiles, MatchesSortBasedOracleForEveryShardCount) {
           SCOPED_TRACE(std::string{shapes[k].name} + " binning " +
                        std::to_string(static_cast<int>(binning)) + " filter " +
                        std::to_string(filter) + " threads " + std::to_string(threads));
-          options.threads = threads;
-          expect_same_profiles(want, build_profiles(trace, options));
+          expect_same_profiles(want, detail::build_profiles(trace, options, threads));
         }
       }
     }

@@ -145,11 +145,10 @@ TEST(SimdPlacement, RaggedTailSizesMatchOnEveryPath) {
   }
 }
 
-TEST(SimdPlacement, PaddedPlanePitchMatchesOnEveryPathAndShardCount) {
-  // 8192 users make a 64 KB plane stride, which gets a one-line pad
-  // between planes; 8200 does not.  Both must place exactly like the
-  // per-user engine, and the sharded column fill must write the same
-  // planes as the serial one.
+TEST(SimdPlacement, ShardedColumnFillMatchesOnEveryPathAndShardCount) {
+  // 8192 users make a 64 KB plane stride, 8200 do not.  At both sizes the
+  // sharded column fill must write the same planes as the serial one, and
+  // every path must place exactly like the per-user engine.
   const TimeZoneProfiles zones{canonical_shape()};
   PathGuard guard;
   const PlacementEngine engine{zones, PlacementMetric::kCircularEmd};
@@ -158,15 +157,14 @@ TEST(SimdPlacement, PaddedPlanePitchMatchesOnEveryPathAndShardCount) {
     SoaCrowd serial;
     serial.build(users, engine.soa_planes(), 1);
     EXPECT_EQ(serial.stride(), size);
-    EXPECT_EQ(serial.pitch(), size == 8192 ? size + 8 : size);
     const std::vector<UserPlacement> want = place_per_user(engine, users);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
       SoaCrowd crowd;
       crowd.build(users, engine.soa_planes(), threads);
       for (std::size_t b = 0; b < kProfileBins; ++b) {
         for (std::size_t s = 0; s < crowd.stride(); ++s) {
-          ASSERT_EQ(crowd.planes()[b * crowd.pitch() + s],
-                    serial.planes()[b * serial.pitch() + s])
+          ASSERT_EQ(crowd.planes()[b * crowd.stride() + s],
+                    serial.planes()[b * serial.stride() + s])
               << "threads " << threads << " plane " << b << " slot " << s;
         }
       }

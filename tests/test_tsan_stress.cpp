@@ -197,9 +197,7 @@ TEST(TsanStress, ConcurrentBuildProfilesOnSharedPool) {
                           ((peak + rng.uniform_int(-2, 2) + 24) % 24) * 3'600);
     }
   }
-  ProfileBuildOptions options;
-  options.threads = 1;
-  const ProfileSet serial = build_profiles(trace, options);
+  const ProfileSet serial = detail::build_profiles(trace, {}, 1);
   ASSERT_FALSE(serial.users.empty());
 
   std::vector<ProfileSet> results(2);
